@@ -1,4 +1,6 @@
-//! **Ablation A2**: the design knobs called out in DESIGN.md.
+//! **Ablation A2**: the design knobs called out in `docs/ARCHITECTURE.md`
+//! ("The building blocks (§4)" and "Where the trust model is weaker than
+//! it looks").
 //!
 //! 1. `validation: full vs hash` — input validation broadcasting the full
 //!    agreed vector (faithful to the paper) vs a 32-byte digest.

@@ -11,8 +11,9 @@
 //!
 //! Times for the distributed series are virtual-clock spans from the
 //! discrete-event runtime over the community-network link model (see
-//! `dauctioneer-sim::des` and DESIGN.md §4 for why this substitutes the
-//! paper's Guifi testbed). Usage:
+//! `dauctioneer-sim::des` and `docs/ARCHITECTURE.md`, "One engine, three
+//! runtimes, two transports", for why this substitutes the paper's Guifi
+//! testbed). Usage:
 //!
 //! ```text
 //! cargo run --release -p dauctioneer-bench --bin fig4 [--csv] [--quick] [--rounds N]

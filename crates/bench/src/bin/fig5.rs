@@ -11,8 +11,9 @@
 //!
 //! The branch-and-bound search budget grows as `2n³` nodes per solve,
 //! mirroring the polynomial search effort of the paper's (1−ε)-optimal
-//! algorithm (DESIGN.md §3/§4). Distributed times are virtual-clock spans
-//! (one CPU per provider, as on the paper's testbed). Usage:
+//! algorithm (`docs/ARCHITECTURE.md`, "Mechanism layer" and "One engine,
+//! three runtimes, two transports"). Distributed times are virtual-clock
+//! spans (one CPU per provider, as on the paper's testbed). Usage:
 //!
 //! ```text
 //! cargo run --release -p dauctioneer-bench --bin fig5 [--csv] [--quick] [--rounds N]

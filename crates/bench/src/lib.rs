@@ -2,7 +2,9 @@
 //! for the figure-regeneration binaries.
 //!
 //! Each binary under `src/bin/` regenerates one figure of the paper's
-//! evaluation (see `DESIGN.md` §5 for the experiment index):
+//! evaluation (`README.md`, "Benchmarks", lists the commands; the
+//! runtimes they drive are in `docs/ARCHITECTURE.md`, "One engine, three
+//! runtimes, two transports"):
 //!
 //! * `fig4` — double-auction running time vs `n` (§6.2, Figure 4),
 //! * `fig5` — standard-auction running time vs `n` and parallelism

@@ -72,7 +72,7 @@ use crate::runtime::RunOptions;
 /// Which message substrate a batch runs over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
-    /// In-process crossbeam channels ([`ThreadedHub`] /
+    /// In-process `std::sync::mpsc` channels ([`ThreadedHub`] /
     /// [`ShardedHub`]): fastest, supports injected [`LatencyModel`]
     /// link latency.
     ///

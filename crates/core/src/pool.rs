@@ -22,11 +22,11 @@
 //! and [`crate::batch::run_batch_with`] is now a thin wrapper: build a
 //! mesh, build a pool over it, run **one** epoch, shut down.
 
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::{JoinHandle, ThreadId};
 use std::time::Duration;
 
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use dauctioneer_net::{ChaosMetrics, ChaosTransport, FaultPlan};
 use dauctioneer_types::{BidVector, Outcome, ProviderId, SessionId};
 
@@ -216,7 +216,7 @@ impl SessionPool {
             let mut shard_controls = Vec::with_capacity(m);
             let mut shard_ids = Vec::with_capacity(m);
             for (j, mut endpoint) in endpoints.into_iter().enumerate() {
-                let (tx, rx): (Sender<WorkOrder>, Receiver<WorkOrder>) = unbounded();
+                let (tx, rx): (Sender<WorkOrder>, Receiver<WorkOrder>) = channel();
                 let cfg = cfg.clone();
                 let program = Arc::clone(program);
                 let handle = std::thread::Builder::new()
@@ -344,7 +344,7 @@ impl SessionPool {
             }
             let mut replies = Vec::with_capacity(self.m);
             for (control, specs) in shard_controls.iter().zip(per_provider) {
-                let (reply_tx, reply_rx) = unbounded();
+                let (reply_tx, reply_rx) = channel();
                 // A send to a dead worker fails; the missing reply then
                 // reads as ⊥ below.
                 let _ = control.send(WorkOrder { specs, deadline, reply: reply_tx });

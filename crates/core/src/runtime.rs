@@ -1,8 +1,9 @@
 //! The threaded runtime: one OS thread per provider, real message passing.
 //!
 //! This is the workspace's stand-in for the paper's deployment on Guifi
-//! nodes (DESIGN.md §4): provider threads give real CPU parallelism for
-//! the computation-bound standard auction, and injected link latency
+//! nodes (see `docs/ARCHITECTURE.md`, "One engine, three runtimes, two
+//! transports"): provider threads give real CPU parallelism for the
+//! computation-bound standard auction, and injected link latency
 //! reproduces the communication-bound regime of the double auction. A
 //! session runs every provider's [`SessionEngine`] to completion (or a
 //! deadline, which yields ⊥ — the paper's external abort mechanism) and

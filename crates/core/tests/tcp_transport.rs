@@ -9,7 +9,7 @@ use dauctioneer_core::{
     drive, drive_multi, run_batch_with, run_session, unanimous, BatchConfig, BatchSession,
     DoubleAuctionProgram, FrameworkConfig, RunOptions, SessionEngine, SessionPool,
 };
-use dauctioneer_net::{shard_for, MuxMesh, TcpMesh};
+use dauctioneer_net::{shard_for, MuxMesh};
 use dauctioneer_types::{BidVector, Bw, Money, Outcome, ProviderAsk, SessionId, UserBid};
 
 const DEADLINE: Duration = Duration::from_secs(30);
@@ -22,11 +22,10 @@ fn bids(valuation: f64) -> BidVector {
         .build()
 }
 
-/// Run one session with every provider on its own thread over a TCP
-/// mesh, returning each provider's outcome.
+/// Run one session with every provider on its own thread over a
+/// one-lane TCP mesh, returning each provider's outcome.
 fn run_over_tcp(cfg: &FrameworkConfig, valuation: f64, seed: u64) -> Vec<Outcome> {
-    let mut mesh = TcpMesh::loopback(cfg.m).unwrap();
-    let endpoints = mesh.take_endpoints();
+    let endpoints = MuxMesh::loopback(cfg.m, 1).unwrap().take_lane_endpoints().remove(0);
     let engines = SessionEngine::roster(
         cfg,
         &Arc::new(DoubleAuctionProgram::new()),
@@ -68,8 +67,7 @@ fn concurrent_sessions_stay_isolated_on_a_shared_socket_mesh() {
     let cfg = FrameworkConfig::new(3, 1, 2, 1);
     let sessions = [(SessionId(11), 1.1, 7u64), (SessionId(12), 1.3, 19u64)];
 
-    let mut mesh = TcpMesh::loopback(cfg.m).unwrap();
-    let endpoints = mesh.take_endpoints();
+    let endpoints = MuxMesh::loopback(cfg.m, 1).unwrap().take_lane_endpoints().remove(0);
     let program = Arc::new(DoubleAuctionProgram::new());
     let handles: Vec<_> = endpoints
         .into_iter()
@@ -143,7 +141,7 @@ where
 fn two_lanes_of_one_mux_mesh_match_two_independent_meshes_and_inproc() {
     // The tentpole equivalence: the same two shards of sessions cleared
     // (a) over two lanes sharing ONE multiplexed socket mesh, (b) over
-    // two fully independent TCP meshes, and (c) in process — identical
+    // two fully independent one-lane meshes, and (c) in process — identical
     // outcomes everywhere. The mux is pure wiring, invisible to the
     // protocol.
     let cfg = FrameworkConfig::new(3, 1, 2, 1);
@@ -154,9 +152,9 @@ fn two_lanes_of_one_mux_mesh_match_two_independent_meshes_and_inproc() {
     let mut mux = MuxMesh::loopback(cfg.m, 2).unwrap();
     let over_mux = pool_outcomes(&cfg, mux.take_lane_endpoints(), &sessions);
 
-    let mut independent_meshes: Vec<TcpMesh> =
-        (0..2).map(|_| TcpMesh::loopback(cfg.m).unwrap()).collect();
-    let endpoints = independent_meshes.iter_mut().map(TcpMesh::take_endpoints).collect();
+    let endpoints = (0..2)
+        .map(|_| MuxMesh::loopback(cfg.m, 1).unwrap().take_lane_endpoints().remove(0))
+        .collect();
     let over_independent = pool_outcomes(&cfg, endpoints, &sessions);
 
     let mut hub =

@@ -443,12 +443,26 @@ impl ClusterReport {
 /// Liveness + connection state shared between the accept/reader
 /// threads and the epoch driver.
 struct Shared {
-    tracker: Mutex<LivenessTracker>,
-    /// Per-peer control writer of the *current* life.
-    writers: Mutex<Vec<Option<TcpStream>>>,
-    /// Per-peer mesh listener address of the current life.
-    mesh_addrs: Mutex<Vec<Option<String>>>,
+    roster: Mutex<Roster>,
     stop: AtomicBool,
+}
+
+/// Each peer's liveness, control writer and mesh address, kept under one
+/// lock so a join publishes all three together and a disconnect
+/// withdraws them together: a peer the tracker reports Up always has a
+/// writer to dispatch to.
+struct Roster {
+    tracker: LivenessTracker,
+    /// Per-peer control writer of the *current* life.
+    writers: Vec<Option<TcpStream>>,
+    /// Per-peer mesh listener address of the current life.
+    mesh_addrs: Vec<Option<String>>,
+}
+
+impl Shared {
+    fn roster(&self) -> std::sync::MutexGuard<'_, Roster> {
+        self.roster.lock().expect("roster lock poisoned by a panicked connection thread")
+    }
 }
 
 enum Event {
@@ -480,9 +494,11 @@ impl Coordinator {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            tracker: Mutex::new(LivenessTracker::new(config.m, config.liveness)),
-            writers: Mutex::new((0..config.m).map(|_| None).collect()),
-            mesh_addrs: Mutex::new(vec![None; config.m]),
+            roster: Mutex::new(Roster {
+                tracker: LivenessTracker::new(config.m, config.liveness),
+                writers: (0..config.m).map(|_| None).collect(),
+                mesh_addrs: vec![None; config.m],
+            }),
             stop: AtomicBool::new(false),
         });
         let (tx, rx) = mpsc::channel();
@@ -510,7 +526,7 @@ impl Coordinator {
         let tick_shared = Arc::clone(&shared);
         let ticker = thread::spawn(move || {
             while !tick_shared.stop.load(Ordering::Relaxed) {
-                tick_shared.tracker.lock().expect("tracker lock").tick(Instant::now());
+                tick_shared.roster().tracker.tick(Instant::now());
                 thread::sleep(Duration::from_millis(50));
             }
         });
@@ -526,7 +542,7 @@ impl Coordinator {
     /// The liveness gauges this coordinator keeps current — register
     /// them with [`crate::register_liveness_metrics`].
     pub fn metrics(&self) -> LivenessMetrics {
-        self.shared.tracker.lock().expect("tracker lock").metrics()
+        self.shared.roster().tracker.metrics()
     }
 
     /// Drive the full run: wait for all providers to join, clear
@@ -556,11 +572,11 @@ impl Coordinator {
         // Bring-up: every provider must join once before epoch 0.
         let deadline = Instant::now() + config.join_timeout;
         loop {
-            if self.shared.tracker.lock().expect("tracker lock").all_up() {
+            if self.shared.roster().tracker.all_up() {
                 break;
             }
             if Instant::now() >= deadline {
-                let tracker = self.shared.tracker.lock().expect("tracker lock");
+                let tracker = &self.shared.roster().tracker;
                 let missing = (0..config.m)
                     .filter(|&p| !matches!(tracker.state(p), PeerState::Up | PeerState::Suspect))
                     .map(|p| format!("provider {p}"))
@@ -644,28 +660,24 @@ impl Coordinator {
         bids: &BidVector,
     ) -> (Outcome, Option<AbortReason>) {
         let m = self.config.m;
-        let (all_up, peers) = {
-            let tracker = self.shared.tracker.lock().expect("tracker lock");
-            let mesh_addrs = self.shared.mesh_addrs.lock().expect("mesh_addrs lock");
+        let mut dispatched = vec![false; m];
+        {
+            // One critical section from the liveness check to the last
+            // write: the roster the order names is the roster it reaches.
+            let mut roster = self.shared.roster();
+            if !roster.tracker.all_up() {
+                // Bounded degradation: do not dispatch into a hole.
+                return (Outcome::Abort, Some(AbortReason::PeerDown));
+            }
             let peers: Vec<PeerInfo> = (0..m)
                 .map(|p| PeerInfo {
                     id: p as u32,
-                    mesh_addr: mesh_addrs[p].clone().unwrap_or_default(),
-                    incarnation: tracker.incarnation(p),
+                    mesh_addr: roster.mesh_addrs[p].clone().unwrap_or_default(),
+                    incarnation: roster.tracker.incarnation(p),
                 })
                 .collect();
-            (tracker.all_up(), peers)
-        };
-        if !all_up {
-            // Bounded degradation: do not dispatch into a hole.
-            return (Outcome::Abort, Some(AbortReason::PeerDown));
-        }
-
-        let order = ControlMsg::WorkOrder { epoch, session, seed, bids: bids.clone(), peers };
-        let mut dispatched = vec![false; m];
-        {
-            let mut writers = self.shared.writers.lock().expect("writers lock");
-            for (peer, slot) in writers.iter_mut().enumerate() {
+            let order = ControlMsg::WorkOrder { epoch, session, seed, bids: bids.clone(), peers };
+            for (peer, slot) in roster.writers.iter_mut().enumerate() {
                 if let Some(stream) = slot.as_mut() {
                     dispatched[peer] = write_frame(stream, &order).is_ok();
                 }
@@ -687,7 +699,7 @@ impl Coordinator {
                 break;
             }
             let missing_all_down = {
-                let tracker = self.shared.tracker.lock().expect("tracker lock");
+                let tracker = &self.shared.roster().tracker;
                 reports.iter().enumerate().filter(|(_, r)| r.is_none()).all(|(p, _)| {
                     matches!(tracker.state(p), PeerState::Down | PeerState::Reconnecting)
                 })
@@ -720,7 +732,7 @@ impl Coordinator {
         // is PeerDown; otherwise the session ran out of time.
         let all_decided = reports.iter().all(|r| matches!(r, Some(o) if !o.is_abort()));
         let any_down = {
-            let tracker = self.shared.tracker.lock().expect("tracker lock");
+            let tracker = &self.shared.roster().tracker;
             (0..m).any(|p| matches!(tracker.state(p), PeerState::Down | PeerState::Reconnecting))
         };
         let reason = if all_decided {
@@ -735,8 +747,8 @@ impl Coordinator {
 
     fn teardown(&mut self) {
         {
-            let mut writers = self.shared.writers.lock().expect("writers lock");
-            for slot in writers.iter_mut() {
+            let mut roster = self.shared.roster();
+            for slot in roster.writers.iter_mut() {
                 if let Some(stream) = slot.as_mut() {
                     let _ = write_frame(stream, &ControlMsg::Shutdown);
                 }
@@ -765,40 +777,39 @@ fn serve_connection(
     if peer >= config.m {
         return;
     }
+    let Ok(writer) = stream.try_clone() else { return };
     let incarnation = {
-        let mut tracker = shared.tracker.lock().expect("tracker lock");
-        tracker.begin_reconnect(peer);
-        tracker.join(peer, Instant::now())
-    };
-    shared.mesh_addrs.lock().expect("mesh_addrs lock")[peer] = Some(mesh_addr);
-    let ack = ControlMsg::JoinAck {
-        incarnation,
-        m: config.m as u32,
-        k: config.k as u32,
-        n_users: config.n_users as u32,
-        deadline_ms: config.session_deadline.as_millis() as u64,
-        mesh_budget_ms: config.mesh_budget.as_millis() as u64,
-    };
-    if write_frame(&mut stream, &ack).is_err() {
-        shared.tracker.lock().expect("tracker lock").disconnect(peer);
-        return;
-    }
-    match stream.try_clone() {
-        Ok(writer) => {
-            shared.writers.lock().expect("writers lock")[peer] = Some(writer);
-        }
-        Err(_) => {
-            shared.tracker.lock().expect("tracker lock").disconnect(peer);
+        // Up, writer and mesh address are published in one critical
+        // section, and the JoinAck is written inside it too, so no work
+        // order can overtake it on the wire.
+        let mut roster = shared.roster();
+        roster.tracker.begin_reconnect(peer);
+        let incarnation = roster.tracker.join(peer, Instant::now());
+        let ack = ControlMsg::JoinAck {
+            incarnation,
+            m: config.m as u32,
+            k: config.k as u32,
+            n_users: config.n_users as u32,
+            deadline_ms: config.session_deadline.as_millis() as u64,
+            mesh_budget_ms: config.mesh_budget.as_millis() as u64,
+        };
+        if write_frame(&mut stream, &ack).is_err() {
+            roster.tracker.disconnect(peer);
+            roster.writers[peer] = None;
+            roster.mesh_addrs[peer] = None;
             return;
         }
-    }
+        roster.writers[peer] = Some(writer);
+        roster.mesh_addrs[peer] = Some(mesh_addr);
+        incarnation
+    };
     let _ = events.send(Event::Joined);
     let _ = stream.set_read_timeout(None);
 
     loop {
         match read_frame(&mut stream) {
             Ok(ControlMsg::Ping) => {
-                shared.tracker.lock().expect("tracker lock").heartbeat(peer, Instant::now());
+                shared.roster().tracker.heartbeat(peer, Instant::now());
             }
             Ok(ControlMsg::OutcomeReport { epoch, id, outcome }) if id as usize == peer => {
                 let _ = events.send(Event::Report { epoch, peer, outcome });
@@ -810,10 +821,11 @@ fn serve_connection(
     // Only this life may declare the peer dead: a rejoin may already
     // have superseded this connection.
     {
-        let mut tracker = shared.tracker.lock().expect("tracker lock");
-        if tracker.incarnation(peer) == incarnation {
-            tracker.disconnect(peer);
-            shared.writers.lock().expect("writers lock")[peer] = None;
+        let mut roster = shared.roster();
+        if roster.tracker.incarnation(peer) == incarnation {
+            roster.tracker.disconnect(peer);
+            roster.writers[peer] = None;
+            roster.mesh_addrs[peer] = None;
         }
     }
     let _ = events.send(Event::Disconnected);
@@ -1149,6 +1161,59 @@ mod tests {
         let mut cfg = ClusterConfig::new(3, 1, 4);
         cfg.n_users = 0;
         assert!(cfg.validate().is_err());
+    }
+
+    /// Regression for the join race: a dispatch that found a peer Up
+    /// with no control writer yet aborted a healthy epoch as `PeerDown`.
+    /// The test holds the roster while a provider's `Join` lands; at no
+    /// point may the peer read Up with an empty writer slot, and after
+    /// the join (and after the disconnect) the two agree.
+    #[test]
+    fn join_publishes_liveness_and_writer_together() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut coordinator =
+            Coordinator::new(listener, ClusterConfig::new(3, 1, 4)).expect("coordinator");
+        let up_without_writer = |roster: &Roster| {
+            roster.tracker.state(0) == PeerState::Up && roster.writers[0].is_none()
+        };
+
+        let mut provider = TcpStream::connect(coordinator.local_addr()).expect("connect");
+        provider.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+        {
+            let roster = coordinator.shared.roster();
+            let join = ControlMsg::Join { id: 0, mesh_addr: "127.0.0.1:9".into() };
+            write_frame(&mut provider, &join).expect("send join");
+            // Give the connection thread ample time to accept and read
+            // the join while the roster is held.
+            let until = Instant::now() + Duration::from_millis(300);
+            while Instant::now() < until {
+                assert!(!up_without_writer(&roster), "peer Up before its writer is installed");
+                thread::sleep(Duration::from_millis(5));
+            }
+        }
+        assert!(matches!(read_frame(&mut provider), Ok(ControlMsg::JoinAck { .. })));
+        {
+            let roster = coordinator.shared.roster();
+            assert_eq!(roster.tracker.state(0), PeerState::Up);
+            assert!(roster.writers[0].is_some(), "joined peer has no writer");
+            assert_eq!(roster.mesh_addrs[0].as_deref(), Some("127.0.0.1:9"));
+        }
+
+        drop(provider);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let roster = coordinator.shared.roster();
+            if roster.tracker.state(0) != PeerState::Up {
+                assert!(roster.writers[0].is_none(), "departed peer kept its writer");
+                assert!(roster.mesh_addrs[0].is_none(), "departed peer kept its mesh address");
+                break;
+            }
+            assert!(roster.writers[0].is_some(), "peer Up without a writer");
+            assert!(Instant::now() < deadline, "disconnect never observed");
+            drop(roster);
+            thread::sleep(Duration::from_millis(5));
+        }
+        coordinator.teardown();
     }
 
     /// In-process smoke of the full cluster: one coordinator, three

@@ -3,11 +3,11 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::{JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
 use dauctioneer_core::{
     unanimous, AllocatorProgram, BatchSession, BidCollector, SessionPool, TransportKind,
 };
@@ -405,7 +405,7 @@ impl MarketService {
         let stats = Arc::new(StatsShared::new(pool.threads_spawned(), mechanism));
         let worker_ids = pool.worker_ids().to_vec();
         let subscribed = Arc::new(AtomicBool::new(false));
-        let (outcomes_tx, outcomes_rx) = unbounded();
+        let (outcomes_tx, outcomes_rx) = channel();
 
         // Replay any recovered in-flight epochs on the fresh pool,
         // synchronously and in epoch order, before the scheduler (or any
@@ -694,7 +694,7 @@ fn run_scheduler(
     // force anyway.
     let pool = Arc::new(pool);
     let num_shards = pool.num_shards();
-    let mut clear_txs: Vec<Sender<ClearJob>> = Vec::with_capacity(num_shards);
+    let mut clear_txs: Vec<SyncSender<ClearJob>> = Vec::with_capacity(num_shards);
     let mut clearers = Vec::with_capacity(num_shards);
     for shard in 0..num_shards {
         // The clear queue is bounded: when a shard's clearer falls
@@ -704,7 +704,7 @@ fn run_scheduler(
         // policy (shed or block) engages — overload surfaces at the
         // submitters instead of accumulating as unbounded shutdown
         // debt.
-        let (tx, rx) = bounded::<ClearJob>(CLEAR_BACKLOG);
+        let (tx, rx) = sync_channel::<ClearJob>(CLEAR_BACKLOG);
         let config = config.clone();
         let stats = Arc::clone(&stats);
         let pool = Arc::clone(&pool);

@@ -6,7 +6,7 @@
 //! delay, or corrupt their messages. This module makes that claim
 //! falsifiable in-process: a [`FaultPlan`] assigns per-link fault
 //! probabilities, and a [`ChaosTransport`] wraps any transport —
-//! [`Endpoint`][crate::Endpoint], [`TcpEndpoint`][crate::TcpEndpoint],
+//! [`Endpoint`][crate::Endpoint], [`MuxEndpoint`][crate::MuxEndpoint],
 //! or any other [`Transport`] — applying the plan at the receiving edge
 //! of every link.
 //!

@@ -1,5 +1,5 @@
-//! The threaded transport: one endpoint per provider, crossbeam channels,
-//! and an optional delay stage injecting modelled link latency.
+//! The threaded transport: one endpoint per provider, `std::sync::mpsc`
+//! channels, and an optional delay stage injecting modelled link latency.
 //!
 //! Topology is a full mesh, as in the paper's deployment: every provider
 //! can message every other provider directly. When the latency model is
@@ -8,10 +8,10 @@
 //! blocks, mirroring asynchronous sends in the ØMQ prototype.
 
 use std::collections::BinaryHeap;
+use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam_channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -76,7 +76,7 @@ pub struct Endpoint {
     /// Direct channels into each peer's inbox (fast path, Zero latency).
     direct: Vec<Sender<(ProviderId, Bytes)>>,
     /// Channel into the delayer thread (latency path), if any.
-    delayer: Option<Sender<(ProviderId, ProviderId, Bytes)>>,
+    delayer: Option<SyncSender<(ProviderId, ProviderId, Bytes)>>,
     inbox: Receiver<(ProviderId, Bytes)>,
     metrics: TrafficMetrics,
 }
@@ -157,7 +157,7 @@ impl Endpoint {
     }
 }
 
-/// A full mesh of `m` providers over crossbeam channels.
+/// A full mesh of `m` providers over `std::sync::mpsc` channels.
 ///
 /// Construct, [`ThreadedHub::take_endpoints`], and hand one endpoint to
 /// each provider thread. The hub owns the delayer thread (when latency is
@@ -178,7 +178,7 @@ impl ThreadedHub {
         let mut inboxes_tx: Vec<Sender<(ProviderId, Bytes)>> = Vec::with_capacity(m);
         let mut inboxes_rx: Vec<Receiver<(ProviderId, Bytes)>> = Vec::with_capacity(m);
         for _ in 0..m {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             inboxes_tx.push(tx);
             inboxes_rx.push(rx);
         }
@@ -186,7 +186,7 @@ impl ThreadedHub {
         let (delayer_tx, delayer_handle) = if latency.is_zero() {
             (None, None)
         } else {
-            let (tx, rx) = bounded::<(ProviderId, ProviderId, Bytes)>(64 * 1024);
+            let (tx, rx) = sync_channel::<(ProviderId, ProviderId, Bytes)>(64 * 1024);
             let outs = inboxes_tx.clone();
             let delayer_metrics = metrics.clone();
             let handle = std::thread::Builder::new()

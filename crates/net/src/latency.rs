@@ -5,7 +5,8 @@
 //! threaded transport injects delays drawn from a [`LatencyModel`] so that
 //! the benchmark reproduces the paper's communication-dominated regime
 //! (Fig. 4) on a single host; the model is the documented substitution for
-//! the physical testbed (DESIGN.md §4).
+//! the physical testbed (see `docs/ARCHITECTURE.md`, "One engine, three
+//! runtimes, two transports").
 
 use std::time::Duration;
 

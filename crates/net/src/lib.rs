@@ -2,21 +2,23 @@
 //!
 //! The paper evaluates its prototype on Guifi.net community-network nodes
 //! with ØMQ as the messaging layer. This crate is the workspace's
-//! substitute substrate (see `DESIGN.md` §4): an abstraction for reliable
-//! point-to-point messaging between the `m` providers, with the transport
-//! concern pulled out so the rest of the system is transport-agnostic:
+//! substitute substrate (see `docs/ARCHITECTURE.md`, "One engine, three
+//! runtimes, two transports"): an abstraction for reliable point-to-point
+//! messaging between the `m` providers, with the transport concern
+//! pulled out so the rest of the system is transport-agnostic:
 //!
 //! * [`ThreadedHub`] / [`Endpoint`] — the in-process transport (one
-//!   OS thread per provider, crossbeam channels) with **injectable per-link
-//!   latency** from a [`LatencyModel`]. This is what the wall-clock
+//!   OS thread per provider, `std::sync::mpsc` channels) with
+//!   **injectable per-link latency** from a [`LatencyModel`]. This is what the wall-clock
 //!   benchmarks run on: computation parallelises across threads (Fig. 5's
 //!   regime) while injected community-network latencies dominate cheap
 //!   computations (Fig. 4's regime).
-//! * [`TcpMesh`] / [`TcpEndpoint`] — the real-socket transport: a full
-//!   TCP mesh over loopback or LAN, carrying the same session-tagged
-//!   frames delimited by length-prefixed wire frames
-//!   ([`wire_encode`] / [`wire_decode`]). This is the deployment-shaped
-//!   backend, standing in for the paper's ØMQ prototype on Guifi nodes.
+//! * [`MuxMesh`] / [`MuxEndpoint`] — the real-socket transport: a full
+//!   TCP mesh over loopback or LAN, one connection per provider pair
+//!   shared by any number of lanes, carrying the same session-tagged
+//!   frames delimited by length-prefixed wire frames ([`mux_frame_into`]
+//!   / [`mux_unframe`]). This is the deployment-shaped backend, standing
+//!   in for the paper's ØMQ prototype on Guifi nodes.
 //! * [`ShardedHub`] — `N` independent in-process meshes with sessions
 //!   partitioned across them by a stable hash of the session tag
 //!   ([`shard_for`]), lifting the one-thread-per-provider ceiling on
@@ -81,5 +83,5 @@ pub use latency::LatencyModel;
 pub use liveness::{Backoff, LivenessConfig, LivenessMetrics, LivenessTracker, PeerState};
 pub use metrics::{ProviderTraffic, TrafficMetrics, TrafficSnapshot};
 pub use shard::{shard_for, ShardedHub};
-pub use tcp::{MeshOptions, MuxEndpoint, MuxMesh, TcpEndpoint, TcpMesh};
+pub use tcp::{MeshOptions, MuxEndpoint, MuxMesh};
 pub use transport::Transport;

@@ -29,7 +29,7 @@
 //!    remaining bytes go out, and write interest is dropped again.
 //! 4. **readability** — level-triggered reads pull socket bytes into the
 //!    connection's assembler and route every completed frame to its
-//!    lane's inbox (mux) or the endpoint's inbox (plain).
+//!    lane's inbox.
 //! 5. **close** — an endpoint drop sends a `CloseNode` control message
 //!    and blocks for the ack: the reactor flushes the node's rings and
 //!    write buffers to the kernel, then half-closes each socket
@@ -46,17 +46,17 @@
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
-use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
 use polling::{Events, Interest, PollMode, Poller};
 
 use dauctioneer_types::ProviderId;
 
 use crate::frame::FrameAssembler;
-use crate::frame::{mux_frame_into, mux_unframe, wire_encode_into, MAX_WIRE_FRAME};
+use crate::frame::{mux_frame_into, mux_unframe, MAX_WIRE_FRAME};
 use crate::metrics::TrafficMetrics;
 use crate::tcp::{OUTBOUND_QUEUE_FRAMES, WRITE_COALESCE_BYTES};
 
@@ -65,32 +65,19 @@ use crate::tcp::{OUTBOUND_QUEUE_FRAMES, WRITE_COALESCE_BYTES};
 /// survive the kernel's 15-byte `comm` truncation.
 pub(crate) const REACTOR_THREAD_PREFIX: &str = "net-reactor";
 
-/// How a connection encodes outbound payloads and routes inbound frames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WireFormat {
-    /// Dedicated mesh ([`TcpEndpoint`][crate::TcpEndpoint]): plain wire
-    /// frames, one inbox (lane 0), the lane id on sends is ignored.
-    Plain,
-    /// Multiplexed mesh ([`MuxEndpoint`][crate::MuxEndpoint]): the lane
-    /// id is folded into the frame tag and inbound frames are
-    /// demultiplexed to per-lane inboxes.
-    Mux,
-}
-
 /// One provider's wiring handed to [`spawn`].
 #[derive(Debug)]
 pub(crate) struct NodeSpec {
     /// The node's provider id.
     pub me: ProviderId,
-    /// Outbound encoding / inbound routing discipline.
-    pub format: WireFormat,
     /// `streams[j]` is the established connection to peer `j` (`None` at
     /// the node's own index). The reactor takes ownership and switches
     /// every stream to nonblocking mode.
     pub streams: Vec<Option<TcpStream>>,
-    /// Inbound frame sinks: one per lane (exactly one for
-    /// [`WireFormat::Plain`]). Dropped by the reactor once the node's
-    /// last read side dies, so receivers observe `Disconnected`.
+    /// Inbound frame sinks, one per lane: the lane id is folded into each
+    /// frame's tag on the way out and demultiplexed here on the way in.
+    /// Dropped by the reactor once the node's last read side dies, so
+    /// receivers observe `Disconnected`.
     pub lanes: Vec<Sender<(ProviderId, Bytes)>>,
     /// The node's traffic counters (shared mesh-wide for loopback).
     pub metrics: TrafficMetrics,
@@ -107,11 +94,11 @@ pub(crate) struct NodeIo {
 }
 
 /// Sender half of one connection's bounded outbound ring, plus the
-/// wakeup plumbing. Cloneable: every lane endpoint of a mux node shares
-/// the same per-peer ring.
+/// wakeup plumbing. Cloneable: every lane endpoint of a node shares the
+/// same per-peer ring.
 #[derive(Debug, Clone)]
 pub(crate) struct ConnTx {
-    ring: Sender<(usize, Bytes)>,
+    ring: SyncSender<(usize, Bytes)>,
     key: usize,
     shared: Arc<Shared>,
 }
@@ -146,7 +133,7 @@ impl NodeCloser {
     /// Must not be called from the reactor thread itself (it would
     /// deadlock on its own ack); endpoint drops run on protocol threads.
     pub fn close(&self) {
-        let (ack_tx, ack_rx) = bounded(1);
+        let (ack_tx, ack_rx) = sync_channel(1);
         if self.shared.control.send(Control::CloseNode { node: self.node, ack: ack_tx }).is_err() {
             return; // reactor already gone; nothing left to flush
         }
@@ -204,7 +191,7 @@ impl Shared {
 #[derive(Debug)]
 enum Control {
     /// Flush `node`'s rings to the kernel, FIN its sockets, then ack.
-    CloseNode { node: usize, ack: Sender<()> },
+    CloseNode { node: usize, ack: SyncSender<()> },
     /// Exit the loop (sent by the last [`ReactorHandle`] drop).
     Shutdown,
 }
@@ -236,7 +223,6 @@ struct Conn {
 #[derive(Debug)]
 struct NodeState {
     me: ProviderId,
-    format: WireFormat,
     /// Dropped once the last read side dies, so lane receivers observe
     /// `Disconnected` exactly like the old reader-thread teardown.
     lanes: Option<Vec<Sender<(ProviderId, Bytes)>>>,
@@ -247,7 +233,7 @@ struct NodeState {
     /// Connections whose write side is not yet shut.
     write_live: usize,
     closing: bool,
-    ack: Option<Sender<()>>,
+    ack: Option<SyncSender<()>>,
 }
 
 /// Spawn one reactor thread over `specs` (all nodes of an in-process
@@ -260,8 +246,8 @@ struct NodeState {
 /// Poller creation, socket-option, registration or thread-spawn failure.
 pub(crate) fn spawn(specs: Vec<NodeSpec>) -> io::Result<(Arc<ReactorHandle>, Vec<NodeIo>)> {
     let poller = Poller::new()?;
-    let (dirty_tx, dirty_rx) = unbounded();
-    let (control_tx, control_rx) = unbounded();
+    let (dirty_tx, dirty_rx) = channel();
+    let (control_tx, control_rx) = channel();
     let shared = Arc::new(Shared {
         poller,
         dirty: dirty_tx,
@@ -284,7 +270,7 @@ pub(crate) fn spawn(specs: Vec<NodeSpec>) -> io::Result<(Arc<ReactorHandle>, Vec
             let _ = stream.set_nodelay(true);
             let key = conns.len();
             shared.poller.add(&stream, key, Interest::READABLE, PollMode::Level)?;
-            let (ring_tx, ring_rx) = bounded(OUTBOUND_QUEUE_FRAMES);
+            let (ring_tx, ring_rx) = sync_channel(OUTBOUND_QUEUE_FRAMES);
             outbound[peer] = Some(ConnTx { ring: ring_tx, key, shared: Arc::clone(&shared) });
             conn_keys.push(key);
             conns.push(Some(Conn {
@@ -305,7 +291,6 @@ pub(crate) fn spawn(specs: Vec<NodeSpec>) -> io::Result<(Arc<ReactorHandle>, Vec
         let live = conn_keys.len();
         nodes.push(NodeState {
             me: spec.me,
-            format: spec.format,
             lanes: Some(spec.lanes),
             metrics: spec.metrics,
             conn_keys,
@@ -343,22 +328,13 @@ pub(crate) fn spawn(specs: Vec<NodeSpec>) -> io::Result<(Arc<ReactorHandle>, Vec
     Ok((Arc::new(ReactorHandle { shared, thread: Some(thread) }), ios))
 }
 
-/// Append `(lane, payload)` to `buf` in the connection's wire format.
-/// Oversized payloads are skipped defensively — both endpoint `send`s
-/// already drop-and-count them, and a panic here would take the whole
-/// mesh's I/O down.
-fn encode_frame(format: WireFormat, lane: usize, payload: &Bytes, buf: &mut BytesMut) {
-    match format {
-        WireFormat::Plain => {
-            if payload.len() <= MAX_WIRE_FRAME {
-                wire_encode_into(payload, buf);
-            }
-        }
-        WireFormat::Mux => {
-            if payload.len() <= MAX_WIRE_FRAME - 8 {
-                mux_frame_into(lane, payload, buf);
-            }
-        }
+/// Append `(lane, payload)` to `buf` as one mux wire frame. Oversized
+/// payloads are skipped defensively — the endpoint's `send` already
+/// drops-and-counts them, and a panic here would take the whole mesh's
+/// I/O down.
+fn encode_frame(lane: usize, payload: &Bytes, buf: &mut BytesMut) {
+    if payload.len() <= MAX_WIRE_FRAME - 8 {
+        mux_frame_into(lane, payload, buf);
     }
 }
 
@@ -368,8 +344,8 @@ enum ReadOutcome {
     Keep,
     /// Peer EOF or socket error: the read side is done.
     Eof,
-    /// Undecodable stream (corrupt length, bad lane, dead plain inbox):
-    /// tear the whole connection down.
+    /// Undecodable stream (corrupt length, bad lane): tear the whole
+    /// connection down.
     Kill,
 }
 
@@ -429,37 +405,29 @@ impl Reactor {
         }
     }
 
-    /// Route one inbound frame. Returns `false` when the stream must be
-    /// torn down (corrupt mux framing or a dead plain inbox).
+    /// Route one inbound frame to its lane's inbox. Returns `false` when
+    /// the stream must be torn down (corrupt mux framing).
     fn deliver(&mut self, node_idx: usize, peer: ProviderId, frame: &[u8]) -> bool {
         let node = &mut self.nodes[node_idx];
-        match node.format {
-            WireFormat::Mux => {
-                let Ok((lane, payload)) = mux_unframe(frame) else {
-                    return false; // shorter than a packed tag: corrupt
-                };
-                let len = payload.len();
-                let delivered = node
-                    .lanes
-                    .as_ref()
-                    .and_then(|lanes| lanes.get(lane))
-                    .is_some_and(|tx| tx.send((peer, payload)).is_ok());
-                if !delivered {
-                    match node.lanes.as_ref() {
-                        // A lane outside the mesh's range: corrupt stream.
-                        Some(lanes) if lane >= lanes.len() => return false,
-                        // This lane's endpoint is gone (a straggler of a
-                        // finished epoch): count, drop, carry on.
-                        _ => node.metrics.record_drop(node.me, len),
-                    }
-                }
-                true
+        let Ok((lane, payload)) = mux_unframe(frame) else {
+            return false; // shorter than a packed tag: corrupt
+        };
+        let len = payload.len();
+        let delivered = node
+            .lanes
+            .as_ref()
+            .and_then(|lanes| lanes.get(lane))
+            .is_some_and(|tx| tx.send((peer, payload)).is_ok());
+        if !delivered {
+            match node.lanes.as_ref() {
+                // A lane outside the mesh's range: corrupt stream.
+                Some(lanes) if lane >= lanes.len() => return false,
+                // This lane's endpoint is gone (a straggler of a
+                // finished epoch): count, drop, carry on.
+                _ => node.metrics.record_drop(node.me, len),
             }
-            WireFormat::Plain => match node.lanes.as_ref() {
-                Some(lanes) => lanes[0].send((peer, Bytes::copy_from_slice(frame))).is_ok(),
-                None => false, // endpoint gone: no reason to keep reading
-            },
         }
+        true
     }
 
     fn do_read(&mut self, key: usize) {
@@ -558,14 +526,13 @@ impl Reactor {
             self.conns[key] = Some(conn);
             return;
         }
-        let format = self.nodes[conn.node].format;
         loop {
             if conn.wpos == conn.wbuf.len() {
                 conn.wbuf.clear();
                 conn.wpos = 0;
                 while conn.wbuf.len() < WRITE_COALESCE_BYTES {
                     match conn.ring.try_recv() {
-                        Ok((lane, payload)) => encode_frame(format, lane, &payload, &mut conn.wbuf),
+                        Ok((lane, payload)) => encode_frame(lane, &payload, &mut conn.wbuf),
                         Err(_) => break, // ring momentarily empty (or closing)
                     }
                 }
@@ -626,7 +593,7 @@ impl Reactor {
 
     /// A node's endpoints are gone: flush its rings, FIN its sockets,
     /// and ack the blocked closer once the last write side is shut.
-    fn begin_close(&mut self, node_idx: usize, ack: Sender<()>) {
+    fn begin_close(&mut self, node_idx: usize, ack: SyncSender<()>) {
         let node = &mut self.nodes[node_idx];
         node.closing = true;
         node.ack = Some(ack);

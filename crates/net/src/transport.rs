@@ -1,7 +1,7 @@
 //! The minimal blocking point-to-point transport interface.
 //!
 //! Every message substrate in this crate — the in-process channel mesh
-//! ([`Endpoint`]), the real-socket mesh ([`TcpEndpoint`]) and the
+//! ([`Endpoint`]), the real-socket mesh ([`MuxEndpoint`]) and the
 //! fault-injecting adapter ([`crate::chaos::ChaosTransport`]) — presents
 //! the same four operations, so the protocol layer above (the
 //! `SessionEngine` drive loops in `dauctioneer-core`) is written once
@@ -16,12 +16,11 @@ use bytes::Bytes;
 use dauctioneer_types::ProviderId;
 
 use crate::hub::{Endpoint, RecvError};
-use crate::tcp::{MuxEndpoint, TcpEndpoint};
+use crate::tcp::MuxEndpoint;
 
 /// The minimal blocking point-to-point transport the generic drive loops
-/// run over. [`Endpoint`] and [`TcpEndpoint`] implement it; a test double
-/// or an alternative substrate (e.g. a socket mesh) only needs these four
-/// operations.
+/// run over. [`Endpoint`] and [`MuxEndpoint`] implement it; a test double
+/// or an alternative substrate only needs these four operations.
 pub trait Transport {
     /// The provider this transport belongs to.
     fn me(&self) -> ProviderId;
@@ -56,24 +55,6 @@ impl Transport for Endpoint {
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<(ProviderId, Bytes), RecvError> {
         Endpoint::recv_timeout(self, timeout)
-    }
-}
-
-impl Transport for TcpEndpoint {
-    fn me(&self) -> ProviderId {
-        TcpEndpoint::me(self)
-    }
-
-    fn num_providers(&self) -> usize {
-        TcpEndpoint::num_providers(self)
-    }
-
-    fn send(&mut self, to: ProviderId, payload: Bytes) {
-        TcpEndpoint::send(self, to, payload)
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<(ProviderId, Bytes), RecvError> {
-        TcpEndpoint::recv_timeout(self, timeout)
     }
 }
 
